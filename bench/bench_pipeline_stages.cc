@@ -2,8 +2,9 @@
 // the task-graph overlap comparison (bgpolicy-bench/v5):
 //
 //  * serial-stage path: each stage timed through its accessor, one after
-//    the other — no cross-stage overlap possible (the PR-4 execution
-//    shape), with Simulate still chunk-parallel inside its stage.
+//    the other — each accessor runs its own task graph, so no cross-stage
+//    overlap is possible, with Simulate still chunk-parallel inside its
+//    stage.
 //  * task-graph path: one Experiment::run() drives every upstream stage
 //    through util::TaskGraph, so Observe's IRR nodes overlap each other,
 //    the path-index nodes, and late Simulate chunks.  A StageTrace records
@@ -18,8 +19,8 @@
 //   --json    emit a single JSON object on stdout (for scripts/bench.sh)
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "core/analysis_suite.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "tool_args.h"
 #include "util/text_table.h"
 
 namespace {
@@ -111,10 +113,11 @@ std::string experiment_digest(core::Experiment& experiment) {
 int main(int argc, char** argv) {
   bool json = false;
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--small") == 0) small = true;
-  }
+  tools::ToolArgs args("bench_pipeline_stages",
+                       "Per-stage wall-clock bench for the staged experiment");
+  args.flag("--small", &small, "use the small scenario (seconds, not minutes)");
+  args.flag("--json", &json, "emit one JSON object on stdout");
+  if (std::optional<int> code = args.parse(argc, argv)) return *code;
 
   const core::Scenario scenario =
       small ? core::Scenario::small() : core::Scenario::internet2002();

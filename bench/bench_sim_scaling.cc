@@ -17,8 +17,8 @@
 //   --json    emit a single JSON object on stdout (for scripts/bench.sh)
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +26,7 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "sim/simulation.h"
+#include "tool_args.h"
 #include "util/text_table.h"
 
 namespace {
@@ -40,7 +41,7 @@ struct World {
 
 World build(const core::Scenario& scenario) {
   // The Synthesize stage plus the canonical vantage derivation — the same
-  // world run_pipeline simulates.
+  // world the Simulate stage simulates.
   World w;
   w.truth = core::synthesize(scenario);
   w.vantage = core::derive_vantage(scenario, w.truth.topo);
@@ -80,10 +81,12 @@ sim::SimResult reference_simulation(const World& w) {
 int main(int argc, char** argv) {
   bool json = false;
   bool small = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--small") == 0) small = true;
-  }
+  tools::ToolArgs args("bench_sim_scaling",
+                       "Thread-scaling bench for the prefix-sharded "
+                       "propagation engine");
+  args.flag("--small", &small, "use the small scenario (seconds, not minutes)");
+  args.flag("--json", &json, "emit one JSON object on stdout");
+  if (std::optional<int> code = args.parse(argc, argv)) return *code;
 
   const core::Scenario scenario =
       small ? core::Scenario::small() : core::Scenario::internet2002();

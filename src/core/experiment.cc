@@ -347,19 +347,6 @@ sim::VantageSpec derive_vantage(const Scenario& scenario,
   return vantage;
 }
 
-SimArtifact simulate(const Scenario& scenario, const GroundTruth& truth,
-                     std::size_t threads, const util::Executor* executor) {
-  SimArtifact artifact;
-  artifact.vantage = derive_vantage(scenario, truth.topo);
-  sim::PropagationOptions options = scenario.propagation;
-  options.threads = threads;
-  artifact.sim =
-      sim::run_simulation(truth.topo.graph, truth.gen.policies,
-                          truth.originations, artifact.vantage, options,
-                          executor);
-  return artifact;
-}
-
 // -------------------------------------------------------------- sim chunks --
 
 namespace {
@@ -400,48 +387,6 @@ std::string sim_chunk_store_key(std::string_view scenario_key,
   return key;
 }
 
-namespace {
-
-// The Observe sub-steps, shared verbatim between the monolithic observe()
-// below and the task-graph nodes Experiment::add_stage_nodes builds (so
-// the two paths can never drift).  The IRR pair consumes only the ground
-// truth; the path pair consumes only the recorded tables — the disjoint
-// halves the task graph overlaps.
-
-std::string observe_irr_text(const Scenario& scenario,
-                             const GroundTruth& truth, std::size_t threads,
-                             const util::Executor* executor) {
-  rpsl::IrrGenParams irr_params = scenario.irr_params;
-  irr_params.threads = threads;
-  return rpsl::generate_irr(truth.topo, truth.gen.policies, irr_params,
-                            executor);
-}
-
-/// Observed path multiset (RouteViews + LGs; a looking glass sees paths
-/// without the vantage itself, so its AS is prepended to match the
-/// collector's shape).  Fills lg_order and observed_paths.
-void observe_ingest_paths(Observations& obs, const SimArtifact& sim) {
-  obs.lg_order = sorted_looking_glass(sim.sim);
-  obs.observed_paths.add_table_paths(sim.sim.collector);
-  for (const AsNumber as : obs.lg_order) {
-    obs.observed_paths.add_table_paths(sim.sim.looking_glass.at(as), as);
-  }
-}
-
-}  // namespace
-
-Observations observe(const Scenario& scenario, const GroundTruth& truth,
-                     const SimArtifact& sim, std::size_t threads,
-                     const util::Executor* executor) {
-  Observations obs;
-  obs.irr_text = observe_irr_text(scenario, truth, threads, executor);
-  obs.irr_objects = rpsl::parse_aut_nums(obs.irr_text, threads, executor);
-  observe_ingest_paths(obs, sim);
-  // The path index over the same table sources.
-  obs.paths.add_tables(inference_table_sources(sim.sim), threads, executor);
-  return obs;
-}
-
 const rpsl::AutNum* Observations::irr_for(AsNumber as) const {
   for (const auto& aut_num : irr_objects) {
     if (aut_num.as == as) return &aut_num;
@@ -476,9 +421,7 @@ ExperimentView make_view(const SimArtifact& sim,
 
 Experiment::Experiment(Scenario scenario, RunOptions options)
     : scenario_(std::move(scenario)), options_(std::move(options)) {
-  // Fold the override into the scenario so one knob drives every stage and
-  // the assembled Pipeline reports it, exactly like pre-staging
-  // run_pipeline.
+  // Fold the override into the scenario so one knob drives every stage.
   if (options_.threads) scenario_.propagation.threads = *options_.threads;
 }
 
@@ -569,45 +512,9 @@ void Experiment::run_upstream(Stage until) {
   const bool need_sim = until >= Stage::kSimulate && !sim_;
   const bool need_observe = until >= Stage::kObserve && !observations_;
   if (truth_ && !need_sim && !need_observe) return;
-  // The exact sequential seed program: no graph, no chunking, stages run
-  // back to back with their internal sharding (inline at threads == 1).
-  // The graph path is for a real pool (overlap + chunk parallelism) or a
-  // store (per-chunk persistence is what makes mid-Simulate resume work).
-  if (executor().pool() == nullptr && options_.store == nullptr) {
-    run_upstream_serial(until);
-    return;
-  }
   util::TaskGraph graph;
   add_stage_nodes(graph, until);
   graph.run(executor());
-}
-
-void Experiment::run_upstream_serial(Stage until) {
-  if (!truth_) materialize_truth();
-  if (until >= Stage::kSimulate && !sim_) {
-    bool loaded = false;
-    sim_ = stage_artifact<SimArtifact>(
-        options_.store, stage_key_material(Stage::kSimulate, {}),
-        digest_slot(Stage::kSimulate), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_sim_artifact(bytes);
-        },
-        [&] { return simulate(scenario_, *truth_, threads(), &executor()); });
-    ++(loaded ? loads_ : counters_).simulate;
-  }
-  if (until >= Stage::kObserve && !observations_) {
-    bool loaded = false;
-    observations_ = stage_artifact<Observations>(
-        options_.store, stage_key_material(Stage::kObserve, {}),
-        digest_slot(Stage::kObserve), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_observations(bytes);
-        },
-        [&] {
-          return observe(scenario_, *truth_, *sim_, threads(), &executor());
-        });
-    ++(loaded ? loads_ : counters_).observe;
-  }
 }
 
 // ----------------------------------------------------- task-graph stages --
@@ -848,8 +755,10 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
         [this, scratch] {
           traced("observe.irr_gen", [&] {
             if (scratch->observe_hit.load(std::memory_order_acquire)) return;
-            scratch->obs.irr_text =
-                observe_irr_text(scenario_, *truth_, 1, nullptr);
+            rpsl::IrrGenParams irr_params = scenario_.irr_params;
+            irr_params.threads = 1;
+            scratch->obs.irr_text = rpsl::generate_irr(
+                truth_->topo, truth_->gen.policies, irr_params);
           });
         },
         deps_of({n_synth, n_sim_probe}));
@@ -866,7 +775,17 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
         [this, scratch] {
           traced("observe.path_ingest", [&] {
             if (scratch->observe_hit.load(std::memory_order_acquire)) return;
-            observe_ingest_paths(scratch->obs, *sim_);
+            // Observed path multiset (RouteViews + LGs; a looking glass
+            // sees paths without the vantage itself, so its AS is
+            // prepended to match the collector's shape).
+            Observations& obs = scratch->obs;
+            const sim::SimResult& tables = sim_->sim;
+            obs.lg_order = sorted_looking_glass(tables);
+            obs.observed_paths.add_table_paths(tables.collector);
+            for (const AsNumber as : obs.lg_order) {
+              obs.observed_paths.add_table_paths(tables.looking_glass.at(as),
+                                                 as);
+            }
           });
         },
         deps_of({n_sim}));
@@ -908,20 +827,21 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
   return handles;
 }
 
+void Experiment::materialize_inference(const asrel::GaoParams& params) {
+  observations();  // a cached upstream is reused, never re-run
+  bool loaded = false;
+  inference_ = stage_artifact<InferenceProducts>(
+      options_.store, stage_key_material(Stage::kInfer, params),
+      digest_slot(Stage::kInfer), loaded,
+      [](std::span<const std::uint8_t> bytes) {
+        return io::decode_inference(bytes);
+      },
+      [&] { return infer_relationships(*observations_, params, &executor()); });
+  ++(loaded ? loads_ : counters_).infer;
+}
+
 const InferenceProducts& Experiment::inference() {
-  if (!inference_) {
-    observations();
-    const asrel::GaoParams params = effective_gao_params();
-    bool loaded = false;
-    inference_ = stage_artifact<InferenceProducts>(
-        options_.store, stage_key_material(Stage::kInfer, params),
-        digest_slot(Stage::kInfer), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_inference(bytes);
-        },
-        [&] { return infer_relationships(*observations_, params, &executor()); });
-    ++(loaded ? loads_ : counters_).infer;
-  }
+  if (!inference_) materialize_inference(effective_gao_params());
   return *inference_;
 }
 
@@ -982,16 +902,7 @@ const AnalysisSuite& Experiment::analyses() const {
 
 const InferenceProducts& Experiment::rerun_infer(
     const asrel::GaoParams& params) {
-  observations();  // cached upstream is reused, never re-run
-  bool loaded = false;
-  inference_ = stage_artifact<InferenceProducts>(
-      options_.store, stage_key_material(Stage::kInfer, params),
-      digest_slot(Stage::kInfer), loaded,
-      [](std::span<const std::uint8_t> bytes) {
-        return io::decode_inference(bytes);
-      },
-      [&] { return infer_relationships(*observations_, params, &executor()); });
-  ++(loaded ? loads_ : counters_).infer;
+  materialize_inference(params);
   analyses_.reset();
   digest_slot(Stage::kAnalyze).clear();
   return *inference_;
@@ -1055,6 +966,10 @@ ExperimentView Experiment::view() {
   return make_view(*sim_, *observations_, *inference_);
 }
 
+ExperimentView Experiment::view() const {
+  return make_view(sim(), observations(), inference());
+}
+
 Experiment::StageArtifacts Experiment::take_artifacts() && {
   StageArtifacts artifacts;
   artifacts.truth = std::move(truth_);
@@ -1064,45 +979,6 @@ Experiment::StageArtifacts Experiment::take_artifacts() && {
   artifacts.analyses = std::move(analyses_);
   invalidate(Stage::kSynthesize);
   return artifacts;
-}
-
-Pipeline Experiment::to_pipeline() {
-  run(Stage::kInfer);
-  Pipeline p;
-  p.scenario = scenario_;
-  p.topo = truth_->topo;
-  p.plan = truth_->plan;
-  p.gen = truth_->gen;
-  p.originations = truth_->originations;
-  p.vantage = sim_->vantage;
-  p.sim = sim_->sim;
-  p.irr_text = observations_->irr_text;
-  p.irr_objects = observations_->irr_objects;
-  p.inferred = inference_->inferred;
-  p.inferred_graph = inference_->inferred_graph;
-  p.tiers = inference_->tiers;
-  p.paths = observations_->paths;
-  return p;
-}
-
-Pipeline Experiment::into_pipeline() && {
-  run(Stage::kInfer);
-  Pipeline p;
-  p.scenario = std::move(scenario_);
-  p.topo = std::move(truth_->topo);
-  p.plan = std::move(truth_->plan);
-  p.gen = std::move(truth_->gen);
-  p.originations = std::move(truth_->originations);
-  p.vantage = std::move(sim_->vantage);
-  p.sim = std::move(sim_->sim);
-  p.irr_text = std::move(observations_->irr_text);
-  p.irr_objects = std::move(observations_->irr_objects);
-  p.inferred = std::move(inference_->inferred);
-  p.inferred_graph = std::move(inference_->inferred_graph);
-  p.tiers = std::move(inference_->tiers);
-  p.paths = std::move(observations_->paths);
-  invalidate(Stage::kSynthesize);
-  return p;
 }
 
 // ------------------------------------------------------------------ sweep --
@@ -1398,17 +1274,6 @@ SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
     report.runs.push_back(std::move(run));
   }
   return report;
-}
-
-// ------------------------------------------------- run_pipeline wrapper --
-
-Pipeline run_pipeline(const Scenario& scenario,
-                      std::optional<std::size_t> threads_override) {
-  RunOptions options;
-  options.threads = threads_override;
-  options.until = Stage::kInfer;
-  Experiment experiment(scenario, std::move(options));
-  return std::move(experiment).into_pipeline();
 }
 
 }  // namespace bgpolicy::core

@@ -15,11 +15,9 @@
 // request-order merge.
 //
 // Determinism contract (docs/ARCHITECTURE.md): every stage honors the
-// shared `threads` knob (0 = hardware concurrency, 1 = the exact
-// sequential seed program) with byte-identical artifacts at any value, so
-// caching and sweep sharding never change any product.
-// `core::run_pipeline` remains as a thin compatibility wrapper that runs
-// the stages and moves their artifacts into the flat `Pipeline` struct.
+// shared `threads` knob (0 = hardware concurrency, 1 = the task graph run
+// inline on the calling thread) with byte-identical artifacts at any
+// value, so caching and sweep sharding never change any product.
 #pragma once
 
 #include <array>
@@ -34,7 +32,7 @@
 #include <vector>
 
 #include "core/analysis_suite.h"
-#include "core/pipeline.h"
+#include "core/experiment_view.h"
 #include "util/parallel.h"
 
 namespace bgpolicy::core {
@@ -79,7 +77,7 @@ struct StageTrace {
 /// how far down the stage chain to run.
 struct RunOptions {
   /// Overrides scenario.propagation.threads for every stage when set
-  /// (same semantics: 0 = hardware concurrency, 1 = sequential).
+  /// (0 = hardware concurrency, 1 = inline on the calling thread).
   std::optional<std::size_t> threads;
   /// Inference parameters for the Infer stage; GaoParams{} (with the
   /// effective thread count) when unset.
@@ -97,11 +95,11 @@ struct RunOptions {
   /// so a second process over the same store resumes instead of re-running
   /// (docs/ARCHITECTURE.md "Artifact store").
   ArtifactStore* store = nullptr;
-  /// Originations per Simulate chunk task on the task-graph path
-  /// (0 = auto, aiming at ~32 near-equal chunks).  Chunk boundaries
-  /// are deterministic in (origination count, this knob) alone — never in
-  /// thread counts — so a killed run resumes mid-Simulate at any thread
-  /// setting; the merged SimArtifact is byte-identical at every value.
+  /// Originations per Simulate chunk task (0 = auto, aiming at ~32
+  /// near-equal chunks).  Chunk boundaries are deterministic in
+  /// (origination count, this knob) alone — never in thread counts — so a
+  /// killed run resumes mid-Simulate at any thread setting; the merged
+  /// SimArtifact is byte-identical at every value.
   std::size_t sim_chunk_prefixes = 0;
   /// Optional node-span trace sink (non-owning; must outlive the
   /// experiment).  See StageTrace.
@@ -184,9 +182,9 @@ struct InferenceProducts {
 // (Analyze's artifact is core::AnalysisSuite, analysis_suite.h.)
 
 // ---------------------------------------------------------- stage runners --
-// Pure, freestanding stage functions — the composable layer `Experiment`
-// and `run_pipeline` are assembled from.  `threads` follows the shared
-// knob semantics; every output is byte-identical at any value.
+// Pure, freestanding stage functions `Experiment` is assembled from (the
+// Simulate and Observe bodies are task-graph nodes, see add_stage_nodes).
+// Every output is byte-identical at any thread count.
 
 [[nodiscard]] GroundTruth synthesize(const Scenario& scenario);
 
@@ -195,17 +193,6 @@ struct InferenceProducts {
 /// best-only views filtered to ASes present in the topology.
 [[nodiscard]] sim::VantageSpec derive_vantage(const Scenario& scenario,
                                               const topo::Topology& topo);
-
-[[nodiscard]] SimArtifact simulate(const Scenario& scenario,
-                                   const GroundTruth& truth,
-                                   std::size_t threads,
-                                   const util::Executor* executor = nullptr);
-
-[[nodiscard]] Observations observe(const Scenario& scenario,
-                                   const GroundTruth& truth,
-                                   const SimArtifact& sim,
-                                   std::size_t threads,
-                                   const util::Executor* executor = nullptr);
 
 [[nodiscard]] InferenceProducts infer_relationships(
     const Observations& observations, const asrel::GaoParams& params,
@@ -230,10 +217,10 @@ struct StageCounters {
 };
 
 /// The Simulate-chunk ledger of one Experiment: how many chunk tasks the
-/// task-graph path scheduled, and of those how many were computed vs.
-/// served from the store — the mid-Simulate resume assertion hook
+/// task graph scheduled, and of those how many were computed vs. served
+/// from the store — the mid-Simulate resume assertion hook
 /// (tests/core/artifact_store_test.cc).  All zero when Simulate was served
-/// whole (full-artifact store hit) or ran on the sequential seed path.
+/// whole (full-artifact store hit).
 struct SimChunkLedger {
   std::size_t total = 0;
   std::size_t computed = 0;
@@ -306,7 +293,7 @@ class Experiment {
   [[nodiscard]] const Scenario& scenario() const { return scenario_; }
   [[nodiscard]] const RunOptions& options() const { return options_; }
   [[nodiscard]] const StageCounters& counters() const { return counters_; }
-  /// The Simulate-chunk ledger of the task-graph path (see SimChunkLedger).
+  /// The Simulate-chunk ledger (see SimChunkLedger).
   [[nodiscard]] const SimChunkLedger& sim_chunks() const {
     return sim_chunks_;
   }
@@ -328,6 +315,9 @@ class Experiment {
   /// Non-owning analysis view over the Simulate/Observe/Infer artifacts
   /// (runs them if needed); `this` must outlive the view.
   [[nodiscard]] ExperimentView view();
+  /// The same view over already-materialized artifacts (throws
+  /// std::logic_error when a stage it reads has not run).
+  [[nodiscard]] ExperimentView view() const;
 
   /// The staged artifacts of an experiment, moved out wholesale for a
   /// long-lived consumer — the serving layer's snapshot builder
@@ -342,14 +332,6 @@ class Experiment {
     std::optional<AnalysisSuite> analyses;
   };
   [[nodiscard]] StageArtifacts take_artifacts() &&;
-
-  /// Assembles the flat compatibility struct from the staged artifacts,
-  /// running stages up to Infer if needed.  `to_pipeline` copies;
-  /// `into_pipeline` moves the artifacts out and leaves the experiment
-  /// empty (only Synthesize..Infer artifacts transfer; a cached
-  /// AnalysisSuite is discarded).
-  [[nodiscard]] Pipeline to_pipeline();
-  [[nodiscard]] Pipeline into_pipeline() &&;
 
  private:
   struct UpstreamScratch;  // per-graph-run staging state (experiment.cc)
@@ -368,14 +350,14 @@ class Experiment {
     return digests_[static_cast<std::size_t>(stage)];
   }
   /// Materializes upstream stages (≤ kObserve) through a task graph on
-  /// this experiment's executor; with a sequential executor and no store,
-  /// falls back to the direct stage calls (the exact seed program).
+  /// this experiment's executor (run inline at threads == 1).
   void run_upstream(Stage until);
-  /// The direct (pre-task-graph) stage path; byte-identical to the graph.
-  void run_upstream_serial(Stage until);
-  /// The Synthesize probe-or-compute-and-persist body (shared by both
-  /// paths; Synthesize has no internal parallelism to lose).
+  /// The Synthesize probe-or-compute-and-persist body of the graph's
+  /// synthesize node.
   void materialize_truth();
+  /// The Infer probe-or-compute-and-persist body against the materialized
+  /// Observations (inference() and rerun_infer()).
+  void materialize_inference(const asrel::GaoParams& params);
   /// Probes the store for the whole Observations artifact (decoding it, so
   /// corruption stays a miss); requires upstream digests to be known.
   void probe_observe(UpstreamScratch& scratch);

@@ -7,7 +7,11 @@ namespace bgpolicy::util {
 std::string to_string(AsNumber as) { return "AS" + std::to_string(as.value()); }
 
 std::string to_string(RouterId router) {
-  return "r" + std::to_string(router.value());
+  // Appending (rather than `"r" + std::to_string(...)`) sidesteps a GCC 12
+  // -Wrestrict false positive at -O3 that -Werror would make fatal.
+  std::string out = "r";
+  out += std::to_string(router.value());
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, AsNumber as) {

@@ -1,8 +1,8 @@
-// The staged experiment API contract (ISSUE 3): staged artifacts
-// reassemble into a Pipeline byte-identical to run_pipeline's at any
-// thread count, downstream stages re-run against cached upstream artifacts
-// (verified by stage-run counters), and sweeps are thread-count
-// independent with upstream work shared per distinct scenario.
+// The staged experiment API contract: every stage runs once and yields
+// byte-identical artifacts at any thread count, downstream stages re-run
+// against cached upstream artifacts (verified by stage-run counters), and
+// sweeps are thread-count independent with upstream work shared per
+// distinct scenario.
 #include "core/experiment.h"
 
 #include <string>
@@ -11,45 +11,25 @@
 #include <gtest/gtest.h>
 
 #include "io/artifact_codec.h"
-#include "io/binary_table.h"
 
 namespace bgpolicy::core {
 namespace {
 
-using util::AsNumber;
-
-std::string table_bytes(const bgp::BgpTable& table) {
-  const auto bytes = io::serialize_table(table);
+std::string bytes_of(const std::vector<std::uint8_t>& bytes) {
   return std::string(bytes.begin(), bytes.end());
 }
 
-// Byte-level digest of every product run_pipeline assembles.  Tables are
-// serialized through the io layer; relationships/tiers go through the
-// canonical serializers.
-std::string pipeline_digest(const Pipeline& pipe) {
-  std::string out;
-  out += "collector\n" + table_bytes(pipe.sim.collector);
-  for (const AsNumber as : sorted_looking_glass(pipe.sim)) {
-    out += "lg " + util::to_string(as) + "\n" +
-           table_bytes(pipe.sim.looking_glass.at(as));
-  }
-  out += "unconverged=" + std::to_string(pipe.sim.unconverged_prefixes);
-  out += " events=" + std::to_string(pipe.sim.process_events);
-  out += " origs=" + std::to_string(pipe.originations.size());
-  out += " best_only=" + std::to_string(pipe.sim.best_only.size()) + "\n";
-  out += pipe.irr_text;
-  out += asrel::canonical_serialize(pipe.inferred);
-  out += asrel::canonical_serialize(pipe.tiers);
-  out += "paths=" + std::to_string(pipe.paths.path_count());
-  out += " adjacencies=" + std::to_string(pipe.paths.adjacency_count());
-  out += "\n";
-  return out;
+// Byte-level digest of every artifact through Infer, via the artifact codec.
+std::string upstream_digest(const Experiment& experiment) {
+  return bytes_of(io::encode(experiment.truth())) +
+         bytes_of(io::encode(experiment.sim())) +
+         bytes_of(io::encode(experiment.observations())) +
+         bytes_of(io::encode(experiment.inference()));
 }
 
-TEST(Experiment, StagedRoundtripMatchesRunPipelineAtEveryThreadCount) {
+TEST(Experiment, StagesRunOnceWithIdenticalArtifactsAtEveryThreadCount) {
+  std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const Pipeline reference = run_pipeline(Scenario::small(91), threads);
-
     RunOptions options;
     options.threads = threads;
     options.until = Stage::kInfer;
@@ -63,13 +43,13 @@ TEST(Experiment, StagedRoundtripMatchesRunPipelineAtEveryThreadCount) {
     EXPECT_EQ(experiment.counters().infer, 1u);
     EXPECT_EQ(experiment.counters().analyze, 0u);
 
-    const Pipeline copied = experiment.to_pipeline();
-    EXPECT_EQ(pipeline_digest(copied), pipeline_digest(reference))
-        << "staged reassembly differs from run_pipeline at threads="
-        << threads;
-
-    const Pipeline moved = std::move(experiment).into_pipeline();
-    EXPECT_EQ(pipeline_digest(moved), pipeline_digest(reference));
+    const std::string digest = upstream_digest(experiment);
+    if (reference.empty()) {
+      reference = digest;
+    } else {
+      EXPECT_EQ(digest, reference) << "artifacts differ at threads="
+                                   << threads;
+    }
   }
 }
 
@@ -119,16 +99,15 @@ TEST(Experiment, StageSelectionStopsWhereAsked) {
   EXPECT_THROW((void)finished.inference(), std::logic_error);
 }
 
-TEST(Experiment, AnalyzeStageMatchesSuiteOverPipeline) {
+TEST(Experiment, AnalyzeStageMatchesSuiteOverView) {
   RunOptions options;
   options.threads = 1;
   Experiment experiment(Scenario::small(42), options);
   const std::string staged = canonical_serialize(experiment.analyses());
   EXPECT_EQ(experiment.counters().analyze, 1u);
 
-  const Pipeline pipe = run_pipeline(Scenario::small(42), 1);
-  const std::string direct = canonical_serialize(
-      run_analysis_suite(pipe, recorded_vantages(pipe), 1));
+  const std::string direct = canonical_serialize(run_analysis_suite(
+      experiment.view(), recorded_vantages(experiment.sim().sim), 1));
   EXPECT_EQ(staged, direct);
 }
 
@@ -198,35 +177,40 @@ TEST(Sweep, ReusesUpstreamArtifactsPerDistinctScenario) {
 }
 
 TEST(Experiment, ChunkSizeAndThreadsNeverChangeArtifacts) {
-  // The task-graph Simulate path (forced by threads >= 2) must produce
-  // byte-identical artifacts at every chunk size, all equal to the
-  // sequential seed program's.
+  // The chunked Simulate stage must produce byte-identical artifacts at
+  // every chunk size and thread count, all equal to one unchunked
+  // sim::run_simulation over the same ground truth — an oracle outside
+  // the task graph (itself golden-tested against the per-event reference
+  // engine).
+  const Scenario scenario = Scenario::small(17);
   RunOptions reference_options;
   reference_options.threads = 1;
-  Experiment reference(Scenario::small(17), reference_options);
+  Experiment reference(scenario, reference_options);
   reference.run(Stage::kObserve);
-  const std::string reference_sim(
-      [](const std::vector<std::uint8_t>& b) {
-        return std::string(b.begin(), b.end());
-      }(io::encode(reference.sim())));
-  const std::string reference_obs(
-      [](const std::vector<std::uint8_t>& b) {
-        return std::string(b.begin(), b.end());
-      }(io::encode(reference.observations())));
+  // threads = 1 without a store runs the same chunked graph, inline.
+  EXPECT_GT(reference.sim_chunks().total, 0u);
+
+  const GroundTruth& truth = reference.truth();
+  SimArtifact oracle;
+  oracle.vantage = derive_vantage(scenario, truth.topo);
+  oracle.sim = sim::run_simulation(truth.topo.graph, truth.gen.policies,
+                                   truth.originations, oracle.vantage,
+                                   scenario.propagation);
+  const std::string reference_sim = bytes_of(io::encode(oracle));
+  EXPECT_EQ(bytes_of(io::encode(reference.sim())), reference_sim);
+  const std::string reference_obs =
+      bytes_of(io::encode(reference.observations()));
 
   for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
                                   std::size_t{5}, std::size_t{100000}}) {
     RunOptions options;
     options.threads = 3;
     options.sim_chunk_prefixes = chunk;
-    Experiment experiment(Scenario::small(17), options);
+    Experiment experiment(scenario, options);
     experiment.run(Stage::kObserve);
-    const std::vector<std::uint8_t> sim_bytes = io::encode(experiment.sim());
-    const std::vector<std::uint8_t> obs_bytes =
-        io::encode(experiment.observations());
-    EXPECT_EQ(std::string(sim_bytes.begin(), sim_bytes.end()), reference_sim)
+    EXPECT_EQ(bytes_of(io::encode(experiment.sim())), reference_sim)
         << "SimArtifact differs at chunk size " << chunk;
-    EXPECT_EQ(std::string(obs_bytes.begin(), obs_bytes.end()), reference_obs)
+    EXPECT_EQ(bytes_of(io::encode(experiment.observations())), reference_obs)
         << "Observations differ at chunk size " << chunk;
     EXPECT_EQ(experiment.sim_chunks().computed, experiment.sim_chunks().total);
 
@@ -236,8 +220,7 @@ TEST(Experiment, ChunkSizeAndThreadsNeverChangeArtifacts) {
     experiment.run(Stage::kSimulate);
     EXPECT_EQ(experiment.sim_chunks().computed, experiment.sim_chunks().total);
     EXPECT_EQ(experiment.sim_chunks().loaded, 0u);
-    const std::vector<std::uint8_t> again = io::encode(experiment.sim());
-    EXPECT_EQ(std::string(again.begin(), again.end()), reference_sim);
+    EXPECT_EQ(bytes_of(io::encode(experiment.sim())), reference_sim);
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "sim/simulation.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -70,15 +70,15 @@ TEST(PathAvailability, EmptyTable) {
   EXPECT_EQ(result.availability_ratio, 0.0);
 }
 
-// Pipeline shape: the paper's claim — policy removes a visible share of
+// End-to-end shape: the paper's claim — policy removes a visible share of
 // the paths the connectivity graph promises.
 TEST(PathAvailability, PipelineShowsAvailabilityGap) {
-  const auto& pipe = shared_pipeline();
+  const ExperimentView view = shared_experiment().view();
   for (const auto as_value : Scenario::focus_tier1()) {
     const AsNumber vantage{as_value};
-    if (!pipe.sim.looking_glass.contains(vantage)) continue;
+    if (!view.sim->looking_glass.contains(vantage)) continue;
     const auto result = analyze_path_availability(
-        pipe.sim.looking_glass.at(vantage), vantage, pipe.inferred_graph);
+        view.sim->looking_glass.at(vantage), vantage, *view.inferred_graph);
     ASSERT_GT(result.customer_prefixes, 50u);
     EXPECT_GT(result.mean_potential, result.mean_available)
         << util::to_string(vantage)

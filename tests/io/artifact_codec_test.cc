@@ -69,11 +69,15 @@ TEST(ArtifactCodec, SimulatingFromDecodedTruthIsByteIdentical) {
   core::Experiment& experiment = shared_experiment();
   const core::GroundTruth decoded =
       decode_ground_truth(encode(experiment.truth()));
-  // The decisive fidelity check: running the Simulate stage on the decoded
-  // ground truth must reproduce the original simulation artifact to the
-  // byte (graph neighbor order drives propagation event order).
-  const core::SimArtifact resimulated =
-      core::simulate(experiment.scenario(), decoded, 1);
+  // The decisive fidelity check: simulating the decoded ground truth must
+  // reproduce the original simulation artifact to the byte (graph neighbor
+  // order drives propagation event order).
+  const core::Scenario& scenario = experiment.scenario();
+  core::SimArtifact resimulated;
+  resimulated.vantage = core::derive_vantage(scenario, decoded.topo);
+  resimulated.sim = sim::run_simulation(
+      decoded.topo.graph, decoded.gen.policies, decoded.originations,
+      resimulated.vantage, scenario.propagation);
   EXPECT_EQ(encode(resimulated), encode(experiment.sim()));
 }
 

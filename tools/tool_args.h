@@ -1,11 +1,11 @@
-// Tiny shared argument parser for the tools/ CLIs, so every binary gets
-// the same conventions: `--help`/`-h` prints a uniform usage + flag table
-// to stdout and exits 0; an unknown flag, malformed value, or missing
-// positional prints usage to stderr and exits 2; values are accepted both
-// as `--flag VALUE` and `--flag=VALUE`.
+// Tiny shared argument parser for the tools/ and bench/ CLIs, so every
+// binary gets the same conventions: `--help`/`-h` prints a uniform usage +
+// flag table to stdout and exits 0; an unknown flag, malformed value, or
+// missing positional prints usage to stderr and exits 2; values are
+// accepted both as `--flag VALUE` and `--flag=VALUE`.
 //
-// Header-only on purpose — tools link only bgpolicy, and this stays a
-// build-time convenience, not a library API.
+// Header-only on purpose — tools and benches link only bgpolicy, and this
+// stays a build-time convenience, not a library API.
 //
 //   tools::ToolArgs args("store_gc", "LRU garbage collection for a store");
 //   args.positional("STORE_DIR", "artifact store directory", 1, 1);
